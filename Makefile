@@ -62,8 +62,7 @@ BENCH_CMDS = $(GO) test ./internal/sim -run '^$$' -bench Replay -benchmem; \
 bench:
 	@{ $(BENCH_CMDS) } | $(GO) run ./cmd/benchjson -o BENCH_pr8.json \
 	     -baseline BENCH_pr8_baseline.json \
-	     -ratio run_comparison_speedup=RunComparisonIsolated/RunComparison \
-	     -ratio incremental_speedup=AllPathsFull/SnapshotIncremental
+	     -ratio run_comparison_speedup=RunComparisonIsolated/RunComparison
 	@cat BENCH_pr8.json
 
 # Regression gate: rerun the suite and fail when any benchmark shared

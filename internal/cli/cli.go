@@ -227,11 +227,14 @@ func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
 }
 
 // Config assembles the engine configuration from the parsed flags.
+// -drop sets the fault engine's per-transfer kill probability
+// (fault.Config.KillProb).
 func (e *EngineFlags) Config(tr *trace.Trace, fc fault.Config, rec *obs.Recorder) (engine.Config, error) {
 	mode, err := ParseResponse(*e.Response)
 	if err != nil {
 		return engine.Config{}, err
 	}
+	fc.KillProb = *e.Drop
 	return engine.Config{
 		Trace:           tr,
 		AvgLifetime:     e.TL.Seconds(),
@@ -241,7 +244,6 @@ func (e *EngineFlags) Config(tr *trace.Trace, fc fault.Config, rec *obs.Recorder
 		Seed:            *e.Seed,
 		BufferMinBits:   *e.BufMin * 1e6,
 		BufferMaxBits:   *e.BufMax * 1e6,
-		DropProb:        *e.Drop,
 		Fault:           fc,
 		QueryRetrySec:   e.Retry.Seconds(),
 		QueryRetryMax:   *e.RetryMax,

@@ -6,9 +6,9 @@
 // API — Publish, Query, Advance/Tick, Report, Close. There is exactly
 // one replay code path: the engine owns the pooled event heap
 // (internal/sim), the scheme and core protocol state, the knowledge
-// Provider with its incremental NCL recompute, the obs Recorder and
-// the fault Engine; drivers differ only in where publishes, queries
-// and clock advancement come from.
+// Provider and its snapshot cache, the obs Recorder and the fault
+// Engine; drivers differ only in where publishes, queries and clock
+// advancement come from.
 //
 // The engine itself never reads the wall clock and never spawns
 // goroutines: virtual time advances only through Advance/Tick/Run, so
@@ -87,8 +87,6 @@ type Config struct {
 	// PerNodeInterests gives each requester its own Zipf rank
 	// permutation (extension; the paper's global popularity is default).
 	PerNodeInterests bool
-	// DropProb injects transfer failures.
-	DropProb float64
 	// Fault configures the deterministic fault-injection engine: node
 	// churn, contact truncation, transfer kills, NCL blackouts. The zero
 	// value installs no injector.
@@ -290,9 +288,9 @@ func Factory(name string) (func() scheme.Scheme, error) {
 
 // SharedKnowledge builds a knowledge provider for tr that concurrent
 // engines share via Config.Knowledge: one contact-rate → paths →
-// NCL-metric pipeline per trace instead of one per environment. The
-// provider is exact (Epsilon 0), so shared results are bit-identical to
-// isolated ones. metricT = 0 picks the trace's default horizon, the
+// NCL-metric pipeline per trace instead of one per environment. A
+// snapshot depends only on its build time, so shared results are
+// bit-identical to isolated ones. metricT = 0 picks the trace's default horizon, the
 // same rule Config normalization applies.
 func SharedKnowledge(tr *trace.Trace, metricT float64) *knowledge.Provider {
 	if metricT == 0 {

@@ -83,7 +83,6 @@ func New(cfg Config) (*Engine, error) {
 	sc.Response = c.Response
 	sc.ProbabilisticSelection = !c.DisableProbabilisticSelection
 	sc.PopularityFromFirst = c.PopularityFromFirst
-	sc.DropProb = c.DropProb
 	sc.Fault = c.Fault
 	sc.QueryRetrySec = c.QueryRetrySec
 	sc.QueryRetryMax = c.QueryRetryMax

@@ -86,9 +86,9 @@ func BuildEnv(s Setup, schemeName string) (*scheme.Env, error) {
 
 // SharedKnowledge builds a knowledge provider for tr that concurrent
 // Run cells share via Setup.Knowledge: one contact-rate → paths →
-// NCL-metric pipeline per trace instead of one per environment. The
-// provider is exact (Epsilon 0), so shared results are bit-identical to
-// isolated ones. metricT = 0 picks the trace's default horizon, the
+// NCL-metric pipeline per trace instead of one per environment. A
+// snapshot depends only on its build time, so shared results are
+// bit-identical to isolated ones. metricT = 0 picks the trace's default horizon, the
 // same rule Setup normalization applies.
 func SharedKnowledge(tr *trace.Trace, metricT float64) *knowledge.Provider {
 	return engine.SharedKnowledge(tr, metricT)

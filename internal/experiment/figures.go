@@ -115,8 +115,8 @@ func Fig4(o FigureOptions) (*Table, error) {
 // NCLMetrics computes the NCL selection metric C_i (Eq. 3) for every
 // node of the trace, using the whole trace for rate estimation as in
 // Sec. IV-B. The raw (unmerged) contact list feeds the knowledge
-// builder, matching the offline analysis convention (the in-simulation
-// estimator counts merged contacts instead).
+// builder, matching the offline analysis convention (in-simulation
+// knowledge counts merged contacts instead).
 func NCLMetrics(tr *trace.Trace, metricT float64) ([]float64, error) {
 	pr := knowledge.NewProvider(knowledge.Params{
 		Nodes:   tr.Nodes,

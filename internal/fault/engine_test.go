@@ -183,6 +183,9 @@ func TestKillTransfer(t *testing.T) {
 	if killed != 1 {
 		t.Errorf("killed stat %d, want 1", killed)
 	}
+	if _, dropped, _ := d.Stats(); dropped != 1 {
+		t.Errorf("driver dropped stat %d, want 1", dropped)
+	}
 }
 
 func TestBlackoutWindow(t *testing.T) {

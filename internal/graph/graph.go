@@ -24,7 +24,9 @@ const DefaultMaxHops = 5
 // RateEstimator accumulates pairwise contact counts and converts them to
 // time-averaged Poisson contact rates, exactly as Sec. III-B prescribes
 // ("calculated at real-time from the cumulative contacts ... in a
-// time-average manner").
+// time-average manner"). Simulations read rates and per-node contact
+// totals from knowledge snapshots instead; this estimator is the
+// seed-pipeline reference those snapshots are tested against.
 type RateEstimator struct {
 	n      int
 	counts []int // n*n, symmetric

@@ -9,9 +9,9 @@ import (
 )
 
 // Builder turns contact-trace prefixes into Snapshots. It holds no
-// mutable state of its own — Build is a pure function of (contacts,
-// build time, base snapshot) — so one Builder may serve concurrent
-// Build calls for different times.
+// mutable state of its own — Build is a pure function of (contact
+// prefix, build time) — so one Builder may serve concurrent Build calls
+// for different times.
 //
 // The contact list must be sorted by start time (trace.Validate
 // guarantees this for raw traces; sim.MergeOverlaps preserves it).
@@ -56,17 +56,15 @@ func (b *Builder) counts(t float64) []int {
 	return counts
 }
 
-// Build produces the snapshot at time t. With base == nil every source
-// is computed from scratch; with a base, sources whose connected
-// component is unchanged within Epsilon reuse the base's paths, weight
-// row and metric (see dirtySources). version is recorded on the
-// snapshot; the Provider passes its own monotone counter.
-func (b *Builder) Build(t float64, base *Snapshot, version int) *Snapshot {
+// Build produces the snapshot at time t, computing every source from
+// scratch. version is recorded on the snapshot; the Provider passes its
+// own monotone counter.
+func (b *Builder) Build(t float64, version int) *Snapshot {
 	var counts []int
 	if t > 0 {
 		counts = b.counts(t)
 	}
-	return b.buildFromCounts(counts, t, base, version)
+	return b.buildFromCounts(counts, t, version)
 }
 
 // scratchPool recycles the layered-DP working arrays across path
@@ -79,70 +77,45 @@ var scratchPool = sync.Pool{New: func() any { return new(graph.PathScratch) }}
 // of a materialized contact list. counts may be nil when t <= 0.
 //
 // The weight matrix is built in two passes so its CSR slabs can be
-// sized exactly: pass 1 computes each dirty source's paths, its Eq. (3)
+// sized exactly: pass 1 computes each source's paths, its Eq. (3)
 // metric (summing every off-diagonal weight, zeros included, in the
 // same order as the dense build — bit-identical by construction), and
 // its non-zero count; after a prefix sum sizes the slabs, pass 2 fills
 // each row's index-owned range. The second weight evaluation per entry
 // is a pure read of the materialized hypoexponentials.
-func (b *Builder) buildFromCounts(counts []int, t float64, base *Snapshot, version int) *Snapshot {
+func (b *Builder) buildFromCounts(counts []int, t float64, version int) *Snapshot {
 	n := b.params.Nodes
 	s := &Snapshot{
-		params:  b.params,
-		version: version,
-		builtAt: t,
-		paths:   make([]*graph.Paths, n),
-		metrics: make([]float64, n),
+		params:   b.params,
+		version:  version,
+		builtAt:  t,
+		contacts: make([]int, n),
+		paths:    make([]*graph.Paths, n),
+		metrics:  make([]float64, n),
 	}
 	// The rate arithmetic must match RateEstimator.Snapshot bit-for-bit:
-	// count/elapsed with the observation window starting at 0.
+	// count/elapsed with the observation window starting at 0. The
+	// contact totals are RateEstimator.NodeContacts over the same counts.
 	s.g = graph.NewGraph(n)
 	if t > 0 && counts != nil {
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if c := counts[i*n+j]; c > 0 {
 					s.g.SetRate(trace.NodeID(i), trace.NodeID(j), float64(c)/t)
+					s.contacts[i] += c
+					s.contacts[j] += c
 				}
 			}
 		}
 	}
 
-	var dirty []int
-	if base != nil && base.params == b.params && len(base.paths) == n {
-		dirty = b.dirtySources(base.g, s.g)
-	} else {
-		dirty = make([]int, n)
-		for i := range dirty {
-			dirty[i] = i
-		}
-	}
-	isDirty := make([]bool, n)
-	for _, i := range dirty {
-		isDirty[i] = true
-	}
-
 	rowLen := make([]int32, n)
 
-	// Clean sources: carry the base's artifacts over unchanged (the CSR
-	// row contents follow in pass 2, once the slabs exist).
-	if len(dirty) < n {
-		for i := 0; i < n; i++ {
-			if isDirty[i] {
-				continue
-			}
-			s.paths[i] = base.paths[i]
-			s.metrics[i] = base.metrics[i]
-			rowLen[i] = base.rowPtr[i+1] - base.rowPtr[i]
-			s.reused++
-		}
-	}
-
-	// Pass 1 — dirty sources: recompute paths, the Eq. (3) metric, and
-	// the row's non-zero count, in parallel across index-owned slots.
-	// Evaluating the full weight row also materializes every reachable
+	// Pass 1: recompute paths, the Eq. (3) metric, and the row's
+	// non-zero count, in parallel across index-owned slots. Evaluating
+	// the full weight row also materializes every reachable
 	// hypoexponential, so the published snapshot is never mutated again.
-	forEachSource(len(dirty), func(k int) {
-		i := dirty[k]
+	forEachSource(n, func(i int) {
 		scratch := scratchPool.Get().(*graph.PathScratch)
 		p := s.g.PathsInto(trace.NodeID(i), b.params.MaxHops, scratch)
 		scratchPool.Put(scratch)
@@ -175,17 +148,11 @@ func (b *Builder) buildFromCounts(counts []int, t float64, base *Snapshot, versi
 	s.cols = make([]int32, nnz)
 	s.vals = make([]float64, nnz)
 
-	// Pass 2 — every row fills its own slab range: dirty rows from the
-	// materialized paths, clean rows copied from the base's slabs.
+	// Pass 2 — every row fills its own slab range from its materialized
+	// paths.
 	forEachSource(n, func(i int) {
 		lo, hi := s.rowPtr[i], s.rowPtr[i+1]
 		if lo == hi {
-			return
-		}
-		if !isDirty[i] {
-			blo := base.rowPtr[i]
-			copy(s.cols[lo:hi], base.cols[blo:blo+hi-lo])
-			copy(s.vals[lo:hi], base.vals[blo:blo+hi-lo])
 			return
 		}
 		p := s.paths[i]
@@ -202,89 +169,4 @@ func (b *Builder) buildFromCounts(counts []int, t float64, base *Snapshot, versi
 		}
 	})
 	return s
-}
-
-// dirtySources decides which sources must be recomputed when moving
-// from the rates of old to the rates of new. A single changed edge
-// anywhere in a source's connected component can reroute its shortest
-// opportunistic paths, so dirtiness propagates over components of the
-// union graph (edges present in either old or new — covering nodes that
-// joined or left a component). Per-source paths, weights and metrics
-// depend only on the source's own component (the layered DP never
-// relaxes an edge out of it, and weights to other components are 0), so
-// a component whose rates are unchanged within Epsilon is reused whole.
-// With Epsilon = 0 "unchanged" means bitwise equal, which makes reuse
-// bit-identical to recomputation.
-func (b *Builder) dirtySources(prevG, nextG *graph.Graph) []int {
-	n := b.params.Nodes
-	comp := newDSU(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			or := prevG.Rate(trace.NodeID(i), trace.NodeID(j))
-			nr := nextG.Rate(trace.NodeID(i), trace.NodeID(j))
-			if or > 0 || nr > 0 {
-				comp.union(i, j)
-			}
-		}
-	}
-	changed := make([]bool, n) // indexed by component root
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			or := prevG.Rate(trace.NodeID(i), trace.NodeID(j))
-			nr := nextG.Rate(trace.NodeID(i), trace.NodeID(j))
-			if (or > 0 || nr > 0) && !b.closeEnough(or, nr) {
-				changed[comp.find(i)] = true
-			}
-		}
-	}
-	var dirty []int
-	for i := 0; i < n; i++ {
-		if changed[comp.find(i)] {
-			dirty = append(dirty, i)
-		}
-	}
-	return dirty
-}
-
-// closeEnough reports whether an edge rate moving prev -> next counts
-// as unchanged under the configured Epsilon.
-func (b *Builder) closeEnough(prev, next float64) bool {
-	if b.params.Epsilon == 0 {
-		return prev == next
-	}
-	diff := next - prev
-	if diff < 0 {
-		diff = -diff
-	}
-	ref := prev
-	if next > ref {
-		ref = next
-	}
-	return diff <= b.params.Epsilon*ref
-}
-
-// dsu is a union-find over node indices with path halving.
-type dsu []int
-
-func newDSU(n int) dsu {
-	d := make(dsu, n)
-	for i := range d {
-		d[i] = i
-	}
-	return d
-}
-
-func (d dsu) find(x int) int {
-	for d[x] != x {
-		d[x] = d[d[x]]
-		x = d[x]
-	}
-	return x
-}
-
-func (d dsu) union(a, b int) {
-	ra, rb := d.find(a), d.find(b)
-	if ra != rb {
-		d[ra] = rb
-	}
 }

@@ -23,7 +23,7 @@ func TestCSRMatchesDirectWeights(t *testing.T) {
 			}
 			params := knowledge.Params{Nodes: tr.Nodes, MetricT: 86400}
 			b := knowledge.NewBuilder(params, tr.Contacts)
-			s := b.Build(tr.Duration/2, nil, 1)
+			s := b.Build(tr.Duration/2, 1)
 
 			n := tr.Nodes
 			metrics := s.Metrics()
@@ -59,41 +59,5 @@ func TestCSRMatchesDirectWeights(t *testing.T) {
 				t.Fatal("degenerate preset: no non-zero weights")
 			}
 		})
-	}
-}
-
-// TestCSRIncrementalMatchesFull: an incremental build (clean rows
-// copied between CSR slabs) must be bit-identical to a from-scratch
-// build at the same time, entry for entry.
-func TestCSRIncrementalMatchesFull(t *testing.T) {
-	tr, err := trace.GeneratePreset(trace.Infocom05, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := knowledge.Params{Nodes: tr.Nodes, MetricT: 86400}
-	b := knowledge.NewBuilder(params, tr.Contacts)
-
-	base := b.Build(tr.Duration/3, nil, 1)
-	incr := b.Build(tr.Duration/2, base, 2)
-	full := b.Build(tr.Duration/2, nil, 2)
-
-	n := tr.Nodes
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			gi := incr.MetricWeight(trace.NodeID(i), trace.NodeID(j))
-			gf := full.MetricWeight(trace.NodeID(i), trace.NodeID(j))
-			if gi != gf {
-				t.Fatalf("MetricWeight(%d,%d): incremental %g != full %g", i, j, gi, gf)
-			}
-		}
-	}
-	im, fm := incr.Metrics(), full.Metrics()
-	for i := range im {
-		if im[i] != fm[i] {
-			t.Fatalf("metric %d: incremental %g != full %g", i, im[i], fm[i])
-		}
-	}
-	if incr.WeightNNZ() != full.WeightNNZ() {
-		t.Fatalf("WeightNNZ: incremental %d != full %d", incr.WeightNNZ(), full.WeightNNZ())
 	}
 }

@@ -13,9 +13,11 @@ import (
 
 // seedPipeline recomputes the knowledge artifacts exactly the way the
 // pre-refactor code did: a RateEstimator fed the contact prefix, then
-// AllPaths and Metrics straight off the rate graph. The snapshot
-// equivalence tests compare against this as ground truth.
-func seedPipeline(tr *trace.Trace, t, metricT float64, maxHops int) ([]*graph.Paths, []float64) {
+// AllPaths and Metrics straight off the rate graph. The estimator is
+// returned too, for its per-node contact totals (the counter the
+// contact-count NCL ablation read before snapshots carried them). The
+// snapshot equivalence tests compare against this as ground truth.
+func seedPipeline(tr *trace.Trace, t, metricT float64, maxHops int) ([]*graph.Paths, []float64, *graph.RateEstimator) {
 	est := graph.NewRateEstimator(tr.Nodes, 0)
 	for _, c := range tr.Contacts {
 		if c.Start > t {
@@ -24,13 +26,13 @@ func seedPipeline(tr *trace.Trace, t, metricT float64, maxHops int) ([]*graph.Pa
 		est.Observe(c.A, c.B)
 	}
 	g := est.Snapshot(t)
-	return g.AllPaths(maxHops), g.Metrics(metricT, maxHops)
+	return g.AllPaths(maxHops), g.Metrics(metricT, maxHops), est
 }
 
 // TestSnapshotMatchesSeedPipeline is the bit-identity contract: for
-// every Table I preset, full builds and incremental epsilon = 0 builds
-// (the default Params) must reproduce the seed pipeline exactly —
-// metrics, horizon weights and off-horizon weights alike.
+// every Table I preset, direct builds and provider builds must
+// reproduce the seed pipeline exactly — metrics, per-node contact
+// totals, horizon weights and off-horizon weights alike.
 func TestSnapshotMatchesSeedPipeline(t *testing.T) {
 	for _, p := range trace.Presets() {
 		p := p
@@ -45,13 +47,16 @@ func TestSnapshotMatchesSeedPipeline(t *testing.T) {
 			provider := knowledge.NewProvider(params, tr.Contacts)
 			grid := []float64{0.4 * tr.Duration, 0.7 * tr.Duration, tr.Duration}
 			for gi, bt := range grid {
-				paths, metrics := seedPipeline(tr, bt, metricT, graph.DefaultMaxHops)
-				full := builder.Build(bt, nil, gi+1)
-				incr := provider.At(bt) // chained off the previous grid time
-				if incr.ReusedSources() > 0 && gi > 0 {
-					t.Logf("t=%.0f: %d sources reused incrementally", bt, incr.ReusedSources())
-				}
-				for _, snap := range []*knowledge.Snapshot{full, incr} {
+				paths, metrics, est := seedPipeline(tr, bt, metricT, graph.DefaultMaxHops)
+				direct := builder.Build(bt, gi+1)
+				for _, snap := range []*knowledge.Snapshot{direct, provider.At(bt)} {
+					for i := 0; i < tr.Nodes; i++ {
+						n := trace.NodeID(i)
+						if got, want := snap.NodeContacts(n), est.NodeContacts(n); got != want {
+							t.Fatalf("t=%.0f v%d: NodeContacts(%d) = %d, seed estimator %d",
+								bt, snap.Version(), i, got, want)
+						}
+					}
 					gotM := snap.Metrics()
 					for i, want := range metrics {
 						if gotM[i] != want {
@@ -110,68 +115,6 @@ func pairContacts() []trace.Contact {
 	}
 }
 
-// TestIncrementalExactReuse checks epsilon = 0 dirtiness propagation:
-// advancing the build time rescales every existing edge rate (count /
-// elapsed), so both connected components are dirty; only the edgeless
-// node can be reused, and the result must still equal a full rebuild
-// bit-for-bit.
-func TestIncrementalExactReuse(t *testing.T) {
-	params := knowledge.Params{Nodes: 6, MetricT: 100}
-	b := knowledge.NewBuilder(params, pairContacts())
-	s1 := b.Build(50, nil, 1)
-	if s1.ReusedSources() != 0 {
-		t.Fatalf("full build reused %d sources", s1.ReusedSources())
-	}
-	s2 := b.Build(60, s1, 2)
-	if s2.ReusedSources() != 1 { // only the isolated node 5
-		t.Fatalf("exact incremental reused %d sources, want 1", s2.ReusedSources())
-	}
-	full := b.Build(60, nil, 2)
-	wantM, gotM := full.Metrics(), s2.Metrics()
-	for i := range wantM {
-		if gotM[i] != wantM[i] {
-			t.Fatalf("metric[%d]: incremental %v, full %v", i, gotM[i], wantM[i])
-		}
-	}
-	for i := 0; i < params.Nodes; i++ {
-		for j := 0; j < params.Nodes; j++ {
-			a, bb := trace.NodeID(i), trace.NodeID(j)
-			if s2.MetricWeight(a, bb) != full.MetricWeight(a, bb) {
-				t.Fatalf("MetricWeight(%d,%d) diverged from full rebuild", i, j)
-			}
-		}
-	}
-}
-
-// TestIncrementalEpsilonReuse checks the approximate mode: with a 5%
-// tolerance, a small elapsed-time rescale leaves the triangle component
-// stale (reused), while the {3,4} component — which gained a contact,
-// roughly doubling its rate — is recomputed.
-func TestIncrementalEpsilonReuse(t *testing.T) {
-	params := knowledge.Params{Nodes: 6, MetricT: 100, Epsilon: 0.05}
-	b := knowledge.NewBuilder(params, pairContacts())
-	s1 := b.Build(50, nil, 1)
-	s2 := b.Build(51, s1, 2)
-	// Nodes 0,1,2 (rates moved ~2% < 5%) and 5 are reused; 3,4 are dirty.
-	if s2.ReusedSources() != 4 {
-		t.Fatalf("epsilon incremental reused %d sources, want 4", s2.ReusedSources())
-	}
-	// The stale component keeps the base's artifacts verbatim.
-	m1, m2 := s1.Metrics(), s2.Metrics()
-	for _, i := range []int{0, 1, 2, 5} {
-		if m2[i] != m1[i] {
-			t.Errorf("metric[%d] changed on a reused source: %v -> %v", i, m1[i], m2[i])
-		}
-	}
-	// The dirty component really was recomputed against the new rates.
-	fullM := b.Build(51, nil, 2).Metrics()
-	for _, i := range []int{3, 4} {
-		if m2[i] != fullM[i] {
-			t.Errorf("metric[%d]: dirty source %v, full rebuild %v", i, m2[i], fullM[i])
-		}
-	}
-}
-
 // TestProviderCachesAndVersions pins the Provider contract: a version-0
 // empty snapshot, cache hits returning the identical value, and
 // monotonically increasing versions.
@@ -197,9 +140,6 @@ func TestProviderCachesAndVersions(t *testing.T) {
 	s2 := pr.At(60)
 	if s2.Version() != 2 {
 		t.Fatalf("second snapshot version %d, want 2", s2.Version())
-	}
-	if s2.ReusedSources() == 0 {
-		t.Error("At(60) should have built incrementally against At(50)")
 	}
 	// Out-of-range lookups are defined, not panics.
 	if w := s2.Weight(-1, 0, 100); w != 0 {
@@ -274,8 +214,5 @@ func TestParamsNormalized(t *testing.T) {
 	explicit := knowledge.Params{Nodes: 5, MetricT: 10, MaxHops: graph.DefaultMaxHops}.Normalized()
 	if n != explicit {
 		t.Error("default and explicit MaxHops params should normalize equal")
-	}
-	if neg := (knowledge.Params{Nodes: 5, MetricT: 10, Epsilon: -1}).Normalized(); neg.Epsilon != 0 {
-		t.Errorf("negative Epsilon normalized to %v, want 0", neg.Epsilon)
 	}
 }

@@ -15,10 +15,10 @@ import (
 const memoLimit = 1 << 16
 
 // Snapshot is one immutable, versioned view of the network knowledge at
-// a build time: the contact-rate graph, shortest opportunistic paths
-// from every source, the path-weight matrix at the metric horizon T in
-// compressed-sparse-row form, and the Eq. (3) NCL selection metric of
-// every node.
+// a build time: the contact-rate graph, per-node contact totals,
+// shortest opportunistic paths from every source, the path-weight
+// matrix at the metric horizon T in compressed-sparse-row form, and the
+// Eq. (3) NCL selection metric of every node.
 //
 // The weight matrix stores only non-zero off-diagonal entries: row i's
 // columns live in cols[rowPtr[i]:rowPtr[i+1]] in ascending order, with
@@ -38,14 +38,14 @@ type Snapshot struct {
 	params  Params
 	version int
 	builtAt float64
-	reused  int
 
-	g       *graph.Graph
-	paths   []*graph.Paths
-	rowPtr  []int32   // n+1 row offsets into cols/vals
-	cols    []int32   // ascending column indices of non-zero weights
-	vals    []float64 // weights at MetricT, parallel to cols
-	metrics []float64 // C_i of Eq. (3) per node
+	g        *graph.Graph
+	contacts []int // contacts per node in the prefix
+	paths    []*graph.Paths
+	rowPtr   []int32   // n+1 row offsets into cols/vals
+	cols     []int32   // ascending column indices of non-zero weights
+	vals     []float64 // weights at MetricT, parallel to cols
+	metrics  []float64 // C_i of Eq. (3) per node
 
 	memo     sync.Map // weightKey -> float64, off-horizon Weight cache
 	memoSize atomic.Int64
@@ -69,9 +69,15 @@ func (s *Snapshot) Version() int { return s.version }
 // built from.
 func (s *Snapshot) BuiltAt() float64 { return s.builtAt }
 
-// ReusedSources reports how many sources were carried over unchanged
-// from the incremental base (0 for a full build).
-func (s *Snapshot) ReusedSources() int { return s.reused }
+// NodeContacts returns how many contacts node n took part in within the
+// snapshot's contact prefix (0 out of range): the integer pair counts
+// the rates were built from, summed per node.
+func (s *Snapshot) NodeContacts(n trace.NodeID) int {
+	if n < 0 || int(n) >= len(s.contacts) {
+		return 0
+	}
+	return s.contacts[n]
+}
 
 // Graph returns the contact-rate graph. The graph is shared, not
 // copied: callers must not SetRate on it.

@@ -19,6 +19,11 @@ func compareSnapshots(t *testing.T, want, got *knowledge.Snapshot, n int, label 
 			t.Fatalf("%s: metric %d = %g, want %g", label, i, gm[i], wm[i])
 		}
 	}
+	for i := 0; i < n; i++ {
+		if w, g := want.NodeContacts(trace.NodeID(i)), got.NodeContacts(trace.NodeID(i)); w != g {
+			t.Fatalf("%s: NodeContacts(%d) = %d, want %d", label, i, g, w)
+		}
+	}
 	if want.WeightNNZ() != got.WeightNNZ() {
 		t.Fatalf("%s: nnz %d, want %d", label, got.WeightNNZ(), want.WeightNNZ())
 	}

@@ -167,7 +167,7 @@ func TestRecorderEventStream(t *testing.T) {
 	r.CacheEvict(60, 2, 5, 0.1)
 	r.Push(70, 2, 6, 5, 1)
 	r.Pull(80, 2, 3, 0)
-	r.Knowledge(90, 3, 2)
+	r.Knowledge(90, 3)
 	r.ContactEnd(95, 1, 2, 4096)
 	r.Cell(1, 1.5, "Intentional")
 	if err := r.Close(); err != nil {

@@ -56,8 +56,7 @@ const (
 	// query (a = responder, b = requester, id = query ID).
 	KindPull
 	// KindKnowledge: a knowledge snapshot refresh was applied
-	// (aux = snapshot version, v = number of reused source
-	// computations).
+	// (aux = snapshot version).
 	KindKnowledge
 	// KindCell: one sweep cell of an experiment run completed
 	// (aux = completion index, v = wall seconds; cmd/experiments only,
@@ -353,8 +352,8 @@ func (r *Recorder) Pull(t float64, responder, requester int32, queryID int64) {
 }
 
 // Knowledge records a knowledge snapshot refresh being applied.
-func (r *Recorder) Knowledge(t float64, version int64, reusedSources float64) {
-	r.Event(KindKnowledge, t, -1, -1, -1, version, reusedSources, "")
+func (r *Recorder) Knowledge(t float64, version int64) {
+	r.Event(KindKnowledge, t, -1, -1, -1, version, 0, "")
 }
 
 // Cell records one experiment sweep cell completing after wallSec

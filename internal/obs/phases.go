@@ -13,7 +13,7 @@ import (
 // clock itself, and span timings never enter the trace sink.
 //
 // Spans of the same name accumulate (count + total), so a phase that
-// recurs — every incremental knowledge build, every sweep cell — reads
+// recurs — every knowledge build, every sweep cell — reads
 // out as one aggregate line. Phases is safe for concurrent use.
 type Phases struct {
 	clock func() int64 // nanoseconds; monotonic origin is irrelevant

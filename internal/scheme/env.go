@@ -5,8 +5,8 @@
 // internal/core and plugs into the same environment.
 //
 // The environment owns everything a DTN data-access protocol needs:
-// per-node buffers, the online contact-rate estimator, periodically
-// refreshed opportunistic-path knowledge, the workload schedule, and
+// per-node buffers, periodically refreshed contact-rate and
+// opportunistic-path knowledge, the workload schedule, and
 // metric collection. Schemes only implement reactions to data
 // generation, queries and contacts.
 //
@@ -105,10 +105,6 @@ type Config struct {
 	PopularityFromFirst bool
 	// Bandwidth is the contact link bandwidth (sim.DefaultBandwidth if 0).
 	Bandwidth float64
-	// DropProb injects random transfer failures (0 = off). It is the
-	// legacy spelling of Fault.KillProb and routes through the same
-	// fault engine; setting both is a configuration error.
-	DropProb float64
 	// Fault configures the deterministic fault-injection engine
 	// (internal/fault). The zero value installs no engine at all,
 	// keeping the replay hot path on its fault-free fast path.
@@ -134,11 +130,6 @@ type Config struct {
 	// CheckInvariants runs the internal/fault runtime invariant checker
 	// every SweepSec, collecting violations on the Env.
 	CheckInvariants bool
-	// KnowledgeEpsilon is the relative rate-change threshold of the
-	// incremental knowledge builder (knowledge.Params.Epsilon). The
-	// default 0 is exact mode: every snapshot is bit-identical to a
-	// full recompute. Positive values trade accuracy for refresh speed.
-	KnowledgeEpsilon float64
 	// Seed drives all run randomness (coin flips, buffer sizes).
 	Seed int64
 	// Obs is the observability recorder wired through every layer of the
@@ -200,12 +191,6 @@ func (c Config) Validate() error {
 		return errors.New("scheme: MaxHops must be >= 0 (0 selects the default)")
 	case c.WarmupEnd < 0:
 		return errors.New("scheme: WarmupEnd must be >= 0")
-	case c.KnowledgeEpsilon < 0:
-		return errors.New("scheme: KnowledgeEpsilon must be >= 0")
-	case c.DropProb < 0 || c.DropProb > 1:
-		return errors.New("scheme: DropProb must be in [0,1]")
-	case c.DropProb > 0 && c.Fault.KillProb > 0:
-		return errors.New("scheme: DropProb and Fault.KillProb are the same knob; set only one")
 	case c.QueryRetrySec < 0:
 		return errors.New("scheme: QueryRetrySec must be >= 0")
 	case c.QueryRetryMax < 0:
@@ -259,7 +244,6 @@ type Env struct {
 	W       *workload.Workload
 	N       int
 	Buffers []*buffer.Buffer
-	Est     *graph.RateEstimator
 	M       *metrics.Collector
 	Rng     *mathx.Rand
 	// Obs is the run's recorder (nil when observability is off); all
@@ -329,7 +313,6 @@ func (c Config) KnowledgeParams(nodes int) knowledge.Params {
 		Nodes:   nodes,
 		MetricT: c.MetricT,
 		MaxHops: c.MaxHops,
-		Epsilon: c.KnowledgeEpsilon,
 	}
 }
 
@@ -338,8 +321,8 @@ func (c Config) KnowledgeParams(nodes int) knowledge.Params {
 // metric pipeline instead of rebuilding it per environment. kb may be
 // nil (a private provider is created); otherwise its Params must match
 // the config, and the caller must have built it over
-// sim.MergeOverlaps(tr.Contacts) so its counts equal what this Env's
-// rate estimator observes.
+// sim.MergeOverlaps(tr.Contacts) so its counts equal the merged
+// contacts this Env's driver delivers.
 func NewEnvShared(tr *trace.Trace, w *workload.Workload, cfg Config, s Scheme, kb *knowledge.Provider) (*Env, error) {
 	return newEnv(tr, w, cfg, s, kb, nil)
 }
@@ -375,7 +358,6 @@ func newEnv(tr *trace.Trace, w *workload.Workload, cfg Config, s Scheme, kb *kno
 		Trace:   tr,
 		W:       w,
 		N:       tr.Nodes,
-		Est:     graph.NewRateEstimator(tr.Nodes, 0),
 		M:       metrics.NewCollector(),
 		Rng:     mathx.NewRand(cfg.Seed),
 		Obs:     cfg.Obs,
@@ -405,17 +387,8 @@ func newEnv(tr *trace.Trace, w *workload.Workload, cfg Config, s Scheme, kb *kno
 	if cfg.Bandwidth > 0 {
 		opts = append(opts, sim.WithBandwidth(cfg.Bandwidth))
 	}
-	fc := cfg.Fault
-	if cfg.DropProb > 0 {
-		// Legacy knob: route the scheme-level drop probability through
-		// the fault engine as its degenerate transfer-kill injector. The
-		// engine derives the same "faults" RNG stream at the same point
-		// the old sim.WithDropProb wiring did, so seeded results are
-		// unchanged.
-		fc.KillProb = cfg.DropProb
-	}
-	if !fc.Zero() {
-		eng, err := fault.NewEngine(e.Sim, e.N, fc, e.Rng.Derive)
+	if !cfg.Fault.Zero() {
+		eng, err := fault.NewEngine(e.Sim, e.N, cfg.Fault, e.Rng.Derive)
 		if err != nil {
 			return nil, err
 		}
@@ -516,7 +489,6 @@ func (e *Env) Run() metrics.Report {
 
 // ContactStart implements sim.Handler.
 func (e *Env) ContactStart(s *sim.Session) {
-	e.Est.Observe(s.A, s.B)
 	e.scheme.OnContactStart(s)
 }
 
@@ -690,7 +662,7 @@ func (e *Env) scheduleMaintenance() error {
 func (e *Env) refreshKnowledge() {
 	now := e.Sim.Now()
 	e.snap = e.kb.At(now)
-	e.Obs.Knowledge(now, int64(e.snap.Version()), float64(e.snap.ReusedSources()))
+	e.Obs.Knowledge(now, int64(e.snap.Version()))
 	if e.ncls == nil && e.Cfg.NCLCount > 0 {
 		// One-time NCL selection at the end of warm-up; the paper keeps
 		// the selected NCLs fixed during data access (Sec. IV-A).
@@ -799,7 +771,7 @@ func (e *Env) selectNCLs() []trace.NodeID {
 		}
 	case NCLByContacts:
 		for n := 0; n < e.N; n++ {
-			scores[n] = float64(e.Est.NodeContacts(trace.NodeID(n)))
+			scores[n] = float64(e.snap.NodeContacts(trace.NodeID(n)))
 		}
 	case NCLRandom:
 		rng := e.Rng.Derive("ncl-random")

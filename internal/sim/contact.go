@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 
-	"dtncache/internal/mathx"
 	"dtncache/internal/obs"
 	"dtncache/internal/trace"
 )
@@ -126,10 +125,7 @@ func (s *Session) startNext() {
 		s.queue = s.queue[:0]
 		s.head = 0
 	}
-	s.curDropped = d.dropProb > 0 && d.rng.Bernoulli(d.dropProb)
-	if d.faults != nil && d.faults.KillTransfer(s.cur.From, s.cur.To, s.cur.Bits, s.cur.Label) {
-		s.curDropped = true
-	}
+	s.curDropped = d.faults != nil && d.faults.KillTransfer(s.cur.From, s.cur.To, s.cur.Bits, s.cur.Label)
 	s.busy = true
 	// Scheduling relative to now never fails.
 	_ = d.sim.Schedule(done, s.onDone)
@@ -229,15 +225,6 @@ func WithBandwidth(bitsPerSec float64) DriverOption {
 // transfer durations match the simulated ones bitwise.
 func (d *Driver) Bandwidth() float64 { return d.bandwidth }
 
-// WithDropProb enables failure injection: each transfer independently
-// fails with probability p even if it fits in the contact. The driver
-// takes ownership of the stream and draws from it on every transfer.
-//
-//dtn:rngboundary pass a freshly derived stream, never a shared alias
-func WithDropProb(p float64, rng *mathx.Rand) DriverOption {
-	return func(d *Driver) { d.dropProb = p; d.rng = rng }
-}
-
 // FaultProbe is the driver's view of a fault-injection engine
 // (internal/fault). All methods are consulted on the contact hot path;
 // a nil probe keeps every site at a single branch.
@@ -286,8 +273,6 @@ type Driver struct {
 	sim       *Simulator
 	handler   Handler
 	bandwidth float64
-	dropProb  float64
-	rng       *mathx.Rand
 	faults    FaultProbe
 
 	active map[[2]trace.NodeID]*Session
@@ -648,7 +633,7 @@ func pairKey(a, b trace.NodeID) [2]trace.NodeID {
 // pair, exactly as Load does before scheduling sessions. Input must be
 // sorted by start time; output is too. It is exported so the knowledge
 // layer can count the same merged contacts the driver delivers to
-// Handler.ContactStart (one Est.Observe per merged contact).
+// Handler.ContactStart.
 func MergeOverlaps(contacts []trace.Contact) []trace.Contact {
 	last := make(map[[2]trace.NodeID]int) // pair -> index in out
 	out := make([]trace.Contact, 0, len(contacts))

@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"dtncache/internal/mathx"
 	"dtncache/internal/trace"
 )
 
@@ -252,28 +251,6 @@ func TestOverlappingContactsMerged(t *testing.T) {
 	_, _, merged := d.Stats()
 	if merged != 1 {
 		t.Errorf("merged = %d, want 1", merged)
-	}
-}
-
-func TestFailureInjection(t *testing.T) {
-	// With drop probability 1 every transfer must be dropped.
-	s := New()
-	var dropped int
-	rec := &recorder{onStart: func(sess *Session) {
-		sess.Enqueue(Transfer{From: 0, To: 1, Bits: 1000,
-			OnDropped: func(Time) { dropped++ }})
-	}}
-	d := NewDriver(s, rec, WithDropProb(1, mathx.NewRand(1)))
-	if err := d.Load(twoNodeTrace(10, 50)); err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if dropped != 1 {
-		t.Errorf("dropped = %d, want 1", dropped)
-	}
-	_, dropStat, _ := d.Stats()
-	if dropStat != 1 {
-		t.Errorf("dropped stat = %d, want 1", dropStat)
 	}
 }
 
